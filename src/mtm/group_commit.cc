@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <chrono>
+#include <thread>
 
 #include "mtm/lock_table.h"
 #include "mtm/truncation.h"
@@ -43,6 +44,15 @@ ctrs()
  *  when the combiner is off (live schema checks rely on presence). */
 [[maybe_unused]] EpochCounters &gEpochCtrsEager = ctrs();
 
+/** Grace spin: the shortest poll window, and how many windows without
+ *  a join end the grace.  A window also stretches to a quarter of the
+ *  last round's duration, so an idle peer costs at most about one more
+ *  round (ski-rental: never linger longer than the fence round the
+ *  lingering tries to share), and slow builds or slow SCM, where peers
+ *  take longer to stage, still batch. */
+constexpr uint64_t kWindowNs = 1000;
+constexpr uint64_t kQuietWindows = 4;
+
 } // namespace
 
 EpochCombiner::EpochCombiner(log::Rawl *marker_log,
@@ -57,9 +67,8 @@ EpochCombiner::joinSync(const Member &m)
 {
     std::unique_lock<std::mutex> g(mu_);
     members_.push_back(m);
+    publishOpenState();
     const uint64_t e = openEpoch_;
-    if (gracers_ > 0)
-        cv_.notify_all(); // wake gracers: the batch just grew
     if (members_.size() >= maxBatch_ && !combining_)
         combineRound(g); // flat combining: the filling arrival works
     return e;
@@ -71,13 +80,44 @@ EpochCombiner::joinAsync(const Member &m, Pending &&p)
     std::unique_lock<std::mutex> g(mu_);
     members_.push_back(m);
     pendings_.push_back(std::move(p));
+    publishOpenState();
     ctrs().async_commits.add(1);
     const uint64_t e = openEpoch_;
-    if (gracers_ > 0)
-        cv_.notify_all();
     if (members_.size() >= maxBatch_ && !combining_)
         combineRound(g);
     return e;
+}
+
+void
+EpochCombiner::graceSpin(uint64_t epoch, size_t quorum) const
+{
+    const uint64_t tag = uint64_t(uint32_t(epoch)) << 32;
+    const uint64_t windowNs = std::max(
+        kWindowNs,
+        lastRoundNs_.load(std::memory_order_relaxed) / kQuietWindows);
+    uint64_t last = openState_.load(std::memory_order_relaxed);
+    uint64_t windowEnd = obs::nowNs() + windowNs;
+    uint64_t quiet = 0;
+    for (;;) {
+        // Yield on every poll: on a host with fewer cores than
+        // committers, the peers we linger for need this CPU to stage.
+        std::this_thread::yield();
+        const uint64_t s = openState_.load(std::memory_order_relaxed);
+        if ((s & ~uint64_t(0xffffffff)) != tag)
+            return;                         // sealed by someone else
+        if ((s & 0xffffffff) >= quorum)
+            return;                         // everyone aboard
+        const uint64_t now = obs::nowNs();
+        if (s != last) {
+            last = s;                       // batch grew: new window
+            quiet = 0;
+            windowEnd = now + windowNs;
+        } else if (now >= windowEnd) {
+            if (++quiet >= kQuietWindows)
+                return;                     // stalled: seal what we have
+            windowEnd = now + windowNs;
+        }
+    }
 }
 
 void
@@ -88,35 +128,28 @@ EpochCombiner::waitRetired(uint64_t epoch)
         return;
     const uint64_t t0 = obs::enabled() ? obs::nowNs() : 0;
     bool graced = false;
+    bool parked = false;
     while (retired_ < epoch) {
         assert(epoch <= openEpoch_ && "ticket from the future");
         if (!combining_ && !members_.empty()) {
             // Grace before the seal: with more than one committer
             // thread alive, linger while the batch is still growing so
             // peers can stage and join this epoch — that is where the
-            // fence amortization comes from.  The loop seals early once
-            // every registered committer is aboard (nobody left to wait
-            // for) and gives up after two quiet naps, so a stalled peer
-            // costs tens of microseconds, never unbounded latency.  A
-            // lone committer skips all of this and seals immediately.
+            // fence amortization comes from.  The spin runs outside mu_
+            // (joiners must not queue behind it), seals early once
+            // every registered committer is aboard, and gives up once
+            // the batch stops growing (see kQuietWindows), so an idle
+            // peer costs microseconds, never a timer-slack nap.  A lone
+            // committer skips all of this and seals immediately.
             const size_t quorum = std::min<size_t>(
                 maxBatch_, committers_.load(std::memory_order_relaxed));
-            if (!graced && quorum > 1) {
+            if (!graced && members_.size() < quorum) {
                 graced = true;
-                ++gracers_;
-                size_t last = members_.size();
-                int quiet = 0;
-                while (retired_ < epoch && !combining_ &&
-                       members_.size() < quorum) {
-                    cv_.wait_for(g, std::chrono::microseconds(10));
-                    if (members_.size() > last) {
-                        last = members_.size();
-                        quiet = 0;
-                    } else if (++quiet >= 2) {
-                        break;
-                    }
-                }
-                --gracers_;
+                spinning_.fetch_add(1, std::memory_order_relaxed);
+                g.unlock();
+                graceSpin(epoch, quorum);
+                g.lock();
+                spinning_.fetch_sub(1, std::memory_order_relaxed);
                 continue; // re-evaluate: someone may have combined
             }
             // Free waiter: become the combiner.  The open epoch holds
@@ -125,12 +158,15 @@ EpochCombiner::waitRetired(uint64_t epoch)
             continue;
         }
         // Parked behind an in-flight round (or an empty epoch that a
-        // racing round already swept up).  The combiner may itself be
-        // stalled in Rawl::append on a FULL log, whose drain needs the
-        // truncator — keep nudging it on every wakeup so log-space
-        // pressure can never deadlock the batch.
-        if (truncator_)
+        // racing round already swept up): sleep until its notify.  The
+        // combiner may be stalled in Rawl::append on a FULL log, whose
+        // drain needs the truncator — from the first wakeup on, keep
+        // nudging it so log-space pressure can never deadlock the
+        // batch.  (A nudge before every park woke the truncator on each
+        // short round, and its poll then sealed one-member epochs.)
+        if (parked && truncator_)
             truncator_->nudge();
+        parked = true;
         cv_.wait_for(g, std::chrono::microseconds(200));
     }
     if (t0)
@@ -156,6 +192,8 @@ EpochCombiner::sync()
 bool
 EpochCombiner::tryAdvance()
 {
+    if (spinning_.load(std::memory_order_relaxed) != 0)
+        return false;
     std::unique_lock<std::mutex> g(mu_, std::try_to_lock);
     if (!g.owns_lock() || combining_ || members_.empty())
         return false;
@@ -173,7 +211,9 @@ EpochCombiner::combineRound(std::unique_lock<std::mutex> &g)
     std::vector<Pending> pendings;
     members.swap(members_);
     pendings.swap(pendings_);
+    publishOpenState();
     g.unlock();
+    const uint64_t start = obs::nowNs();
 
     ctrs().seals.add(1);
     ctrs().members.add(members.size());
@@ -269,6 +309,7 @@ EpochCombiner::combineRound(std::unique_lock<std::mutex> &g)
         }
     }
 
+    lastRoundNs_.store(obs::nowNs() - start, std::memory_order_relaxed);
     g.lock();
     retired_ = e;
     ++rounds_;

@@ -107,10 +107,12 @@ class EpochCombiner
     uint64_t joinAsync(const Member &m, Pending &&p);
 
     /**
-     * Block until @p epoch has retired.  A free waiter combines the
-     * open epoch itself; a waiter parked behind an in-flight round
-     * nudges the truncator on every wakeup so a full log can never
-     * deadlock the batch (the Rawl::append backoff interaction).
+     * Block until @p epoch has retired.  A free waiter first spins a
+     * short grace (see graceSpin) so live peers can join, then combines
+     * the open epoch itself.  A waiter parked behind an in-flight round
+     * sleeps until the round's notify and nudges the truncator on every
+     * later wakeup so a full log can never deadlock the batch (the
+     * Rawl::append backoff interaction).
      */
     void waitRetired(uint64_t epoch);
 
@@ -119,7 +121,8 @@ class EpochCombiner
 
     /**
      * Non-blocking retirement driver for the truncator's poll: seal and
-     * retire the open epoch if one exists and no round is in flight.
+     * retire the open epoch if one exists, no round is in flight and no
+     * waiter is in its grace spin (that waiter seals it shortly).
      * Returns true if a round ran (the epoch-timeout path for async
      * tickets nobody is waiting on).
      */
@@ -137,13 +140,14 @@ class EpochCombiner
     /**
      * Committer-thread registration, maintained by the manager's log
      * lease lifecycle (first lease acquire / thread-exit recycle).
-     * More than one registered committer is THE signal that a grace nap
-     * before sealing can grow the batch.  Instantaneous in-flight-commit
-     * counts cannot serve here: a fencing thread serializes its peers'
-     * staging on the SCM context, and on a single-core host peers are
-     * only ever preempted at scheduler quanta — both make "someone else
-     * is committing RIGHT NOW" nearly unobservable even when eight
-     * threads hammer commits.  Lease possession is the stable proxy.
+     * More than one registered committer is THE signal that a grace
+     * spin before sealing can grow the batch.  Instantaneous
+     * in-flight-commit counts cannot serve here: a fencing thread
+     * serializes its peers' staging on the SCM context, and on a
+     * single-core host peers are only ever preempted at scheduler
+     * quanta — both make "someone else is committing RIGHT NOW" nearly
+     * unobservable even when eight threads hammer commits.  Lease
+     * possession is the stable proxy.
      */
     void
     registerCommitter()
@@ -196,6 +200,22 @@ class EpochCombiner
      *  !combining_, !members_.empty().  Unlocks for the I/O. */
     void combineRound(std::unique_lock<std::mutex> &g);
 
+    /** Spin-then-seal grace, called WITHOUT mu_: poll the open epoch's
+     *  member count in short windows (>= 1 us, a quarter of the last
+     *  round), yielding on every poll, until @p epoch is sealed,
+     *  @p quorum members have joined, or the batch stops growing for
+     *  kQuietWindows windows. */
+    void graceSpin(uint64_t epoch, size_t quorum) const;
+
+    /** Republish openState_ after a join or seal.  Pre: mu_ held. */
+    void
+    publishOpenState()
+    {
+        openState_.store((uint64_t(uint32_t(openEpoch_)) << 32) |
+                             members_.size(),
+                         std::memory_order_relaxed);
+    }
+
     log::Rawl *markerLog_;
     TruncationThread *truncator_;
     const size_t maxBatch_;
@@ -207,7 +227,17 @@ class EpochCombiner
     bool combining_ = false;
     uint64_t rounds_ = 0;
     std::atomic<uint32_t> committers_{0}; ///< Threads holding a log lease.
-    uint32_t gracers_ = 0;  ///< Waiters napping in grace (under mu_).
+    /** Low 32 bits of openEpoch_ << 32 | members_.size(), republished
+     *  under mu_ on every join and seal so graceSpin can poll without
+     *  the lock (2^32 seals never fit inside one grace). */
+    std::atomic<uint64_t> openState_{uint64_t(1) << 32};
+    /** Wall time of the most recent combine round (sizes the grace). */
+    std::atomic<uint64_t> lastRoundNs_{0};
+    /** Waiters inside graceSpin: while nonzero, tryAdvance leaves the
+     *  open epoch to them (they seal within a few windows), so the
+     *  truncator's poll cannot cut a growing batch short. */
+    std::atomic<uint32_t> spinning_{0};
+
     std::vector<Member> members_;
     std::vector<Pending> pendings_;
     std::deque<Outstanding> outstanding_;

@@ -336,9 +336,11 @@ TxnManager::backoff(int attempt)
     // With the combiner on, the lock we just lost to may belong to an
     // async transaction that releases only at epoch retirement.  Drive
     // a combine round from THIS thread — a conflict forces the epoch
-    // closed — so progress never depends on the truncator's poll (which
-    // may be paused, e.g. under the crash sweeper).  Then kick the
-    // truncator anyway so the retired epoch's log space is reclaimed.
+    // closed, unless a waiter is already in its grace spin and seals it
+    // within microseconds — so progress never depends on the
+    // truncator's poll (which may be paused, e.g. under the crash
+    // sweeper).  Then kick the truncator anyway so the retired epoch's
+    // log space is reclaimed.
     if (combiner_) {
         combiner_->tryAdvance();
         truncator_->nudge();

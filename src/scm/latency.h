@@ -12,8 +12,9 @@
 #ifndef MNEMOSYNE_SCM_LATENCY_H_
 #define MNEMOSYNE_SCM_LATENCY_H_
 
-#include <atomic>
 #include <cstdint>
+
+#include "obs/obs.h"
 
 namespace mnemosyne::scm {
 
@@ -46,7 +47,10 @@ class DelayLoop
 /**
  * Per-context emulated-time accounting.  In kVirtual mode, delays are
  * added here; in kSpin mode they are both spun and recorded so that
- * benchmarks can report emulated SCM time separately.
+ * benchmarks can report emulated SCM time separately.  Charges land in
+ * the calling thread's shard (always on, whatever MN_OBS says), so
+ * concurrent flushes and fences never share a counter line; reads sum
+ * the shards.
  */
 class LatencyAccount
 {
@@ -54,16 +58,16 @@ class LatencyAccount
     void
     charge(LatencyMode mode, uint64_t ns)
     {
-        totalNs_.fetch_add(ns, std::memory_order_relaxed);
+        totalNs_.add(ns);
         if (mode == LatencyMode::kSpin)
             DelayLoop::spin(ns);
     }
 
-    uint64_t totalNs() const { return totalNs_.load(std::memory_order_relaxed); }
-    void reset() { totalNs_.store(0, std::memory_order_relaxed); }
+    uint64_t totalNs() const { return totalNs_.sum(); }
+    void reset() { totalNs_.reset(); }
 
   private:
-    std::atomic<uint64_t> totalNs_{0};
+    obs::ShardedCounter totalNs_;
 };
 
 } // namespace mnemosyne::scm

@@ -11,6 +11,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <new>
 
 #include "obs/obs.h"
 #include "obs/stats_registry.h"
@@ -490,56 +491,14 @@ KvServer::processConn(const ConnPtr &c, std::vector<Request> &batch)
 
     for (const Request &req : batch) {
         sobs().requests.add(1);
-        if (req.key.size() > kMaxKeyBytes) {
+        // A full persistent heap fails the one request, not the server:
+        // atomicAsync has already rolled the transaction back (a BATCH
+        // fails whole), so answer kError and keep serving.
+        try {
+            execRequest(req, out, &maxEpoch);
+        } catch (const std::bad_alloc &) {
             sobs().errors.add(1);
-            appendResponse(out, req.id, Status::kTooLarge, req.op, "");
-            continue;
-        }
-        switch (req.op) {
-        case Op::kGet: {
-            sobs().gets.add(1);
-            std::string v;
-            const bool found = table_.get(req.key, &v);
-            appendResponse(out, req.id,
-                           found ? Status::kOk : Status::kNotFound, Op::kGet,
-                           found ? std::string_view(v) : std::string_view());
-            break;
-        }
-        case Op::kPut: {
-            sobs().puts.add(1);
-            mtm::CommitTicket t = table_.putAsync(req.key, req.value);
-            if (t.epoch > maxEpoch)
-                maxEpoch = t.epoch;
-            appendResponse(out, req.id, Status::kOk, Op::kPut, "");
-            break;
-        }
-        case Op::kDel: {
-            sobs().dels.add(1);
-            bool removed = false;
-            mtm::CommitTicket t = table_.delAsync(req.key, &removed);
-            if (t.epoch > maxEpoch)
-                maxEpoch = t.epoch;
-            appendResponse(out, req.id,
-                           removed ? Status::kOk : Status::kNotFound,
-                           Op::kDel, "");
-            break;
-        }
-        case Op::kBatch:
-            execBatchOp(req, out, &maxEpoch);
-            break;
-        case Op::kStat: {
-            const std::string snap =
-                obs::StatsRegistry::instance().jsonSnapshot();
-            appendResponse(out, req.id, Status::kOk, Op::kStat, snap);
-            break;
-        }
-        case Op::kPing:
-            appendResponse(out, req.id, Status::kOk, Op::kPing, "");
-            break;
-        default:
-            sobs().errors.add(1);
-            appendResponse(out, req.id, Status::kBadRequest, req.op, "");
-            break;
+            appendResponse(out, req.id, Status::kError, req.op, "");
         }
     }
 
@@ -571,6 +530,63 @@ KvServer::processConn(const ConnPtr &c, std::vector<Request> &batch)
             kickIo(c);
     }
     served_.fetch_add(batch.size(), std::memory_order_relaxed);
+}
+
+void
+KvServer::execRequest(const Request &req, std::vector<uint8_t> &out,
+                      uint64_t *maxEpoch)
+{
+    if (req.key.size() > kMaxKeyBytes) {
+        sobs().errors.add(1);
+        appendResponse(out, req.id, Status::kTooLarge, req.op, "");
+        return;
+    }
+    switch (req.op) {
+    case Op::kGet: {
+        sobs().gets.add(1);
+        std::string v;
+        const bool found = table_.get(req.key, &v);
+        appendResponse(out, req.id,
+                       found ? Status::kOk : Status::kNotFound, Op::kGet,
+                       found ? std::string_view(v) : std::string_view());
+        break;
+    }
+    case Op::kPut: {
+        sobs().puts.add(1);
+        mtm::CommitTicket t = table_.putAsync(req.key, req.value);
+        if (t.epoch > *maxEpoch)
+            *maxEpoch = t.epoch;
+        appendResponse(out, req.id, Status::kOk, Op::kPut, "");
+        break;
+    }
+    case Op::kDel: {
+        sobs().dels.add(1);
+        bool removed = false;
+        mtm::CommitTicket t = table_.delAsync(req.key, &removed);
+        if (t.epoch > *maxEpoch)
+            *maxEpoch = t.epoch;
+        appendResponse(out, req.id,
+                       removed ? Status::kOk : Status::kNotFound,
+                       Op::kDel, "");
+        break;
+    }
+    case Op::kBatch:
+        execBatchOp(req, out, maxEpoch);
+        break;
+    case Op::kStat: {
+        const std::string snap =
+            obs::StatsRegistry::instance().jsonSnapshot();
+        appendResponse(out, req.id, Status::kOk, Op::kStat, snap);
+        break;
+    }
+    case Op::kPing:
+        appendResponse(out, req.id, Status::kOk, Op::kPing, "");
+        break;
+    default:
+        sobs().errors.add(1);
+        appendResponse(out, req.id, Status::kBadRequest, req.op, "");
+        break;
+    }
 }
 
 void

@@ -133,6 +133,8 @@ class KvServer
     void closeConn(IoThread &io, const ConnPtr &c);
     void enqueueReady(const ConnPtr &c, size_t depth);
     void processConn(const ConnPtr &c, std::vector<Request> &batch);
+    void execRequest(const Request &req, std::vector<uint8_t> &out,
+                     uint64_t *maxEpoch);
     void execBatchOp(const Request &req, std::vector<uint8_t> &out,
                      uint64_t *maxEpoch);
     void kickIo(const ConnPtr &c);

@@ -10,7 +10,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <thread>
 #include <vector>
 
@@ -253,6 +255,61 @@ TEST(GroupCommit, CombinerAmortizesFences)
     EXPECT_LT(per_txn, 1.0) << "combiner failed to amortize fences";
     EXPECT_GT(uint64_t(kThreads) * kTxns, rt.txns().combiner()->rounds())
         << "no round ever batched more than one member";
+}
+
+TEST(GroupCommit, IdlePeerDoesNotDelaySeal)
+{
+    // A second committer thread that holds its log lease but commits
+    // nothing makes the grace quorum two, so every wait below lingers
+    // for a peer that never comes.  The grace must give up within a few
+    // microseconds of the batch going quiet: a timed-nap grace cannot
+    // return before two of its naps have elapsed.
+    TempDir dir;
+    scm::ScmContext c(scmCfg());
+    scm::ScopedCtx guard(c);
+    Runtime rt(gcCfg(dir.path()));
+    auto *arr = static_cast<uint64_t *>(rt.regions().pstaticVar(
+        "arr", 2 * 8 * sizeof(uint64_t), nullptr));
+
+    std::atomic<bool> leased{false};
+    std::atomic<bool> done{false};
+    std::thread idle([&] {
+        rt.atomic([&](mtm::Txn &tx) { tx.writeT<uint64_t>(&arr[8], 1); });
+        leased.store(true);
+        while (!done.load())
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    });
+    while (!leased.load())
+        std::this_thread::yield();
+
+    constexpr int kTxns = 400;
+    std::vector<uint64_t> waits;
+    waits.reserve(kTxns);
+    for (int i = 0; i < kTxns; ++i) {
+        auto t = rt.atomicAsync([&](mtm::Txn &tx) {
+            tx.writeT<uint64_t>(&arr[0], uint64_t(i) + 1);
+        });
+        const auto t0 = std::chrono::steady_clock::now();
+        rt.wait(t);
+        waits.push_back(uint64_t(
+            std::chrono::duration_cast<std::chrono::nanoseconds>(
+                std::chrono::steady_clock::now() - t0)
+                .count()));
+    }
+    done.store(true);
+    idle.join();
+    EXPECT_EQ(arr[0], uint64_t(kTxns));
+
+    std::nth_element(waits.begin(), waits.begin() + kTxns / 2, waits.end());
+    const uint64_t median_ns = waits[kTxns / 2];
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+    GTEST_LOG_(INFO) << "median wait " << median_ns
+                     << " ns (bound not checked under sanitizers)";
+#else
+    EXPECT_LT(median_ns, 20000u)
+        << "an idle lease holder stalled the seal (median wait "
+        << median_ns << " ns)";
+#endif
 }
 
 TEST(GroupCommit, TinyLogBackoffNudgesTruncator)

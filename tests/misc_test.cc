@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <thread>
+#include <vector>
 
 #include "ds/phash_table.h"
 #include "log/rawl.h"
@@ -81,6 +82,26 @@ TEST(LatencyAccount, VirtualModeAccumulatesWithoutSpinning)
         << "virtual charging must not actually wait";
     acc.reset();
     EXPECT_EQ(acc.totalNs(), 0u);
+}
+
+TEST(LatencyAccount, ConcurrentChargesSumExactly)
+{
+    // Charges from many threads land in per-thread shards; the total
+    // read back must still be the exact sum, with no lost updates.
+    scm::LatencyAccount acc;
+    constexpr int kThreads = 8;
+    constexpr uint64_t kCharges = 20000;
+    std::vector<std::thread> ts;
+    for (int t = 0; t < kThreads; ++t) {
+        ts.emplace_back([&acc, t] {
+            for (uint64_t i = 0; i < kCharges; ++i)
+                acc.charge(scm::LatencyMode::kVirtual, uint64_t(t) + 1);
+        });
+    }
+    for (auto &th : ts)
+        th.join();
+    // sum over t of (t + 1) * kCharges
+    EXPECT_EQ(acc.totalNs(), kCharges * kThreads * (kThreads + 1) / 2);
 }
 
 TEST(Rawl, FootprintAndCapacityMath)

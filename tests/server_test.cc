@@ -333,6 +333,58 @@ TEST(KvServer, StopDrainsPipelinedWrites)
     EXPECT_EQ(v, "v");
 }
 
+TEST(KvServer, FullHeapFailsRequestNotServer)
+{
+    // Resource exhaustion fails the one request: a PUT that finds the
+    // persistent heap full answers kError, and the server keeps serving
+    // reads, frees, new writes and a clean stop.
+    TempDir dir;
+    scm::ScmContext ctx(scmCfg());
+    scm::ScopedCtx guard(ctx);
+    RuntimeConfig rc = rtCfg(dir.path());
+    rc.small_heap_bytes = 1 << 20;
+    rc.big_heap_bytes = 1 << 20;
+    Runtime rt(rc);
+    srv::KvServerConfig cfg;
+    cfg.workers = 1; // the DEL's freed node returns to the PUT's cache
+    srv::KvServer server(rt, ServerFixture::withDefaults(cfg));
+    ASSERT_TRUE(server.start());
+    srv::KvClient cl;
+    ASSERT_TRUE(cl.connect("127.0.0.1", server.port()));
+
+    const std::string value(3000, 'v');
+    int stored = 0;
+    srv::Status st = srv::Status::kOk;
+    for (; stored < 10000; ++stored) {
+        st = cl.put("full" + std::to_string(stored), value);
+        if (st != srv::Status::kOk)
+            break;
+    }
+    ASSERT_EQ(st, srv::Status::kError) << "heap never filled";
+    ASSERT_GT(stored, 10);
+    EXPECT_EQ(cl.put("full" + std::to_string(stored), value),
+              srv::Status::kError)
+        << "still full: the failed PUT must not have leaked or linked";
+
+    std::string v;
+    for (int i = 0; i < stored; ++i) {
+        ASSERT_EQ(cl.get("full" + std::to_string(i), &v), srv::Status::kOk)
+            << "key " << i << " lost after the heap filled";
+        ASSERT_EQ(v, value);
+    }
+
+    ASSERT_EQ(cl.del("full0"), srv::Status::kOk);
+    ASSERT_EQ(cl.put("fullX", value), srv::Status::kOk)
+        << "a freed node must be reusable after the heap was full";
+    ASSERT_EQ(cl.get("fullX", &v), srv::Status::kOk);
+    EXPECT_EQ(v, value);
+    EXPECT_EQ(cl.get("full0", &v), srv::Status::kNotFound);
+    EXPECT_TRUE(cl.ping());
+
+    server.stop();
+    EXPECT_EQ(rt.txns().truncationBacklog(), 0u);
+}
+
 TEST(PHashTable, AsyncPutDelTickets)
 {
     // The relaxed-durability surface the server workers use, exercised
